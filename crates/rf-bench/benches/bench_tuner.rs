@@ -4,7 +4,7 @@
 //! Because the vendored criterion shim does not report statistics, the
 //! benchmark also measures both search modes with `std::time::Instant` and
 //! asserts the claims the staged search exists for: on every tuned workload
-//! it must run ≥5× fewer cost-model evaluations than the oracle, finish in
+//! it must run ≥5× fewer cost model evaluations than the oracle, finish in
 //! less total wall-clock time, and choose a configuration whose estimated
 //! latency is within 5% of (in practice: identical to) the oracle's.
 
@@ -91,7 +91,7 @@ fn bench_tuner(c: &mut Criterion) {
         guided_evals += fast.tuning.evaluated;
     }
     println!(
-        "tuner: {} workloads ({} tuned), {} -> {} cost-model evaluations ({:.1}x), \
+        "tuner: {} workloads ({} tuned), {} -> {} cost model evaluations ({:.1}x), \
          wall {:.1} ms -> {:.1} ms, {} identical points",
         workloads.len(),
         tuned,

@@ -13,9 +13,9 @@
 //! | key | default | meaning |
 //! |---|---|---|
 //! | `arch` | `h800` | `a10 \| a100 \| h800 \| mi308x` |
-//! | `devices` | unset | homogeneous fleet: N tile-VM devices of `arch` |
-//! | `fleet` | unset | heterogeneous fleet: `+`-separated `arch[:backend]` specs, e.g. `a10+h800:cost` (backends: `vm \| cost`); overrides `arch`/`devices` |
-//! | `routing` | `least-loaded` | fleet placement: `least-loaded \| sticky \| row-shard \| predicted` |
+//! | `devices` | unset | homogeneous fleet: N devices of `arch` |
+//! | `fleet` | unset | heterogeneous fleet: `+`-separated arch names, e.g. `a10+h800`; overrides `arch`/`devices` |
+//! | `routing` | `least-loaded` | fleet placement: `least-loaded \| sticky \| row-shard` |
 //! | `suite` | unset | `fleet`: run the single/fleet4/hetero scenario suite and write one multi-scenario document |
 //! | `requests` | `256` | total submissions (workloads + graphs) |
 //! | `mode` | `closed` | `closed` (client windows) or `open` (Poisson) |
@@ -52,7 +52,7 @@ use std::process::ExitCode;
 
 use rf_bench::serving::{run_traced, suite_to_json, Mode, TraceConfig};
 use rf_gpusim::GpuArch;
-use rf_runtime::{BackendKind, DeviceSpec, RoutingPolicy, RuntimeConfig};
+use rf_runtime::{RoutingPolicy, RuntimeConfig};
 use rf_trace::TraceLevel;
 
 struct Args {
@@ -63,23 +63,13 @@ struct Args {
     profile_out: String,
 }
 
-/// Parses a `fleet=` spec: `+`-separated `arch[:backend]` items.
-fn parse_fleet(spec: &str) -> Result<Vec<DeviceSpec>, String> {
+/// Parses a `fleet=` spec: `+`-separated arch names.
+fn parse_fleet(spec: &str) -> Result<Vec<GpuArch>, String> {
     spec.split('+')
         .map(|item| {
-            let (arch_name, backend) = match item.split_once(':') {
-                Some((arch_name, backend_name)) => (
-                    arch_name,
-                    BackendKind::by_name(backend_name).ok_or(format!(
-                        "unknown backend `{backend_name}` in fleet item `{item}` (expected vm|cost)"
-                    ))?,
-                ),
-                None => (item, BackendKind::TileVm),
-            };
-            let arch = GpuArch::by_name(arch_name).ok_or(format!(
-                "unknown arch `{arch_name}` in fleet item `{item}` (expected a10|a100|h800|mi308x)"
-            ))?;
-            Ok(DeviceSpec { arch, backend })
+            GpuArch::by_name(item).ok_or(format!(
+                "unknown arch `{item}` in fleet `{spec}` (expected a10|a100|h800|mi308x)"
+            ))
         })
         .collect()
 }
@@ -130,7 +120,7 @@ fn parse_args() -> Result<Args, String> {
             "fleet" => fleet_spec = Some(value),
             "routing" => {
                 routing = RoutingPolicy::by_name(&value).ok_or(format!(
-                    "unknown routing `{value}` (expected least-loaded|sticky|row-shard|predicted)"
+                    "unknown routing `{value}` (expected least-loaded|sticky|row-shard)"
                 ))?;
             }
             "suite" => {
@@ -212,12 +202,8 @@ fn parse_args() -> Result<Args, String> {
     };
     let devices = if let Some(spec) = fleet_spec {
         parse_fleet(&spec)?
-    } else if device_count > 0 {
-        (0..device_count)
-            .map(|_| DeviceSpec::tile_vm(arch.clone()))
-            .collect()
     } else {
-        Vec::new()
+        vec![arch.clone(); device_count]
     };
     Ok(Args {
         config: TraceConfig {
@@ -248,27 +234,14 @@ fn write_profile(path: &str, folded: &str) -> Result<(), String> {
 
 /// Runs the fleet scenario suite off the base config: the same trace served
 /// by one device, by a homogeneous 4-device fleet, and by a heterogeneous
-/// tile-VM + cost-model pair. Returns the named reports in that order.
+/// A10 + H800 pair. Returns the named reports in that order.
 fn run_fleet_suite(base: &TraceConfig) -> Vec<(String, rf_bench::serving::ServingReport)> {
     let scenarios = [
-        (
-            "single",
-            vec![DeviceSpec::tile_vm(base.arch.clone())],
-            base.routing,
-        ),
-        (
-            "fleet4",
-            (0..4)
-                .map(|_| DeviceSpec::tile_vm(base.arch.clone()))
-                .collect(),
-            base.routing,
-        ),
+        ("single", vec![base.arch.clone()], base.routing),
+        ("fleet4", vec![base.arch.clone(); 4], base.routing),
         (
             "hetero",
-            vec![
-                DeviceSpec::tile_vm(GpuArch::a10()),
-                DeviceSpec::cost_model(GpuArch::h800()),
-            ],
+            vec![GpuArch::a10(), GpuArch::h800()],
             RoutingPolicy::LeastLoaded,
         ),
     ];
@@ -375,4 +348,21 @@ fn main() -> ExitCode {
         println!("wrote {} (load it at ui.perfetto.dev)", args.trace_out);
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fleet_specs_take_arch_names_only() {
+        let fleet = parse_fleet("a10+h800").unwrap();
+        assert_eq!(
+            fleet.iter().map(|arch| arch.name).collect::<Vec<_>>(),
+            ["NVIDIA A10", "NVIDIA H800"]
+        );
+        // An `arch:kind` item is an unknown arch, not a silent fallback.
+        let err = parse_fleet("a10+h800:cost").unwrap_err();
+        assert!(err.contains("unknown arch `h800:cost`"), "{err}");
+    }
 }

@@ -29,8 +29,8 @@ use rf_codegen::Workload;
 use rf_gpusim::GpuArch;
 use rf_graph::{partition, GraphPlan, OpGraph};
 use rf_runtime::{
-    metrics::percentile_sorted, CalibrationSnapshot, DeviceSpec, Engine, FleetConfig, Priority,
-    Request, RequestInput, RoutingPolicy, RuntimeConfig, RuntimeError, Submission, Ticket,
+    metrics::percentile_sorted, CalibrationSnapshot, Engine, FleetConfig, Priority, Request,
+    RequestInput, RoutingPolicy, RuntimeConfig, RuntimeError, Submission, Ticket,
     TimeSeriesSnapshot,
 };
 use rf_workloads::{
@@ -165,10 +165,10 @@ impl Mode {
 pub struct TraceConfig {
     /// Target architecture (ignored when `devices` is non-empty).
     pub arch: GpuArch,
-    /// Fleet devices to serve from. Empty (the default) runs a single
-    /// tile-VM device of `arch`; otherwise the engine is built as a fleet
-    /// of exactly these devices and `arch` is ignored.
-    pub devices: Vec<DeviceSpec>,
+    /// Fleet devices to serve from, one per architecture. Empty (the
+    /// default) runs a single device of `arch`; otherwise the engine is
+    /// built as a fleet of exactly these devices and `arch` is ignored.
+    pub devices: Vec<GpuArch>,
     /// How fleet submissions are placed onto devices (only meaningful for
     /// multi-device runs).
     pub routing: RoutingPolicy,
@@ -242,8 +242,6 @@ pub struct DeviceReport {
     pub device: usize,
     /// The device's architecture name.
     pub arch: String,
-    /// The device's execution backend name (`"tile-vm"` or `"cost-model"`).
-    pub backend: String,
     /// Requests this device accepted.
     pub submitted: u64,
     /// Requests this device fully served.
@@ -310,7 +308,7 @@ pub struct ServingReport {
     /// Wall-clock per-stage breakdown (queue/compile/tune/execute/e2e), in
     /// lifecycle order. Empty when the engine ran with tracing off.
     pub stages: Vec<StageReport>,
-    /// Cost-model calibration ledger: per (class, arch, backend) predicted
+    /// Cost-model calibration ledger: per (class, arch) predicted
     /// vs measured error statistics. Empty when the engine ran with tracing
     /// off.
     pub calibration: Vec<CalibrationSnapshot>,
@@ -340,13 +338,12 @@ impl ServingReport {
             .map(|d| {
                 format!(
                     concat!(
-                        "{{\"device\":{},\"arch\":\"{}\",\"backend\":\"{}\",",
+                        "{{\"device\":{},\"arch\":\"{}\",",
                         "\"submitted\":{},\"completed\":{},\"shed\":{},",
                         "\"p50_us\":{},\"p99_us\":{},\"busy_sim_us\":{}}}"
                     ),
                     d.device,
                     d.arch,
-                    d.backend,
                     d.submitted,
                     d.completed,
                     d.shed,
@@ -388,14 +385,13 @@ impl ServingReport {
             .map(|entry| {
                 format!(
                     concat!(
-                        "{{\"class\":\"{}\",\"arch\":\"{}\",\"backend\":\"{}\",",
+                        "{{\"class\":\"{}\",\"arch\":\"{}\",",
                         "\"samples\":{},\"predicted_mean_us\":{},\"measured_mean_us\":{},",
                         "\"mape_pct\":{},\"rel_err_p50\":{},\"rel_err_p95\":{},",
                         "\"mean_ratio\":{},\"drifting\":{}}}"
                     ),
                     entry.class,
                     entry.arch,
-                    entry.backend,
                     entry.samples,
                     json_num(entry.predicted_mean_us),
                     json_num(entry.measured_mean_us),
@@ -524,11 +520,10 @@ impl ServingReport {
         );
         for device in &self.devices {
             out.push_str(&format!(
-                "\n  device {} [{} / {}]: {} served, {} shed, \
+                "\n  device {} [{}]: {} served, {} shed, \
                  p50 {:.1} us, p99 {:.1} us, busy {:.1} us",
                 device.device,
                 device.arch,
-                device.backend,
                 device.completed,
                 device.shed,
                 device.p50_us,
@@ -706,7 +701,6 @@ pub fn run_traced(config: &TraceConfig) -> (ServingReport, Option<String>) {
         .map(|d| DeviceReport {
             device: d.device,
             arch: d.arch.to_string(),
-            backend: d.backend.to_string(),
             submitted: d.metrics.submitted,
             completed: d.metrics.completed,
             shed: d.metrics.shed,
@@ -1012,7 +1006,6 @@ mod tests {
             devices: vec![DeviceReport {
                 device: 0,
                 arch: "h800".into(),
-                backend: "tile-vm".into(),
                 submitted: 90,
                 completed: 90,
                 shed: 10,
@@ -1035,7 +1028,6 @@ mod tests {
             calibration: vec![CalibrationSnapshot {
                 class: "softmax".into(),
                 arch: "NVIDIA H800".into(),
-                backend: "tile-vm".into(),
                 fingerprint: 7,
                 samples: 80,
                 predicted_mean_us: 10.0,
@@ -1070,7 +1062,7 @@ mod tests {
             "\"sim_throughput_rps\": 1200.000",
             "\"shed_rate\": 0.100",
             "\"mean_batch_occupancy\": 3.500",
-            "\"devices\": [{\"device\":0,\"arch\":\"h800\",\"backend\":\"tile-vm\"",
+            "\"devices\": [{\"device\":0,\"arch\":\"h800\",\"submitted\":90",
             "\"busy_sim_us\":75000.000",
             "\"lanes\": [{\"lane\":\"high\"",
             "\"stages\": [{\"stage\":\"e2e\",\"count\":90,\"p50_us\":120.000",
@@ -1084,7 +1076,7 @@ mod tests {
         }
         assert!(report.summary().contains("90"));
         assert!(report.summary().contains("stage e2e"));
-        assert!(report.summary().contains("device 0 [h800 / tile-vm]"));
+        assert!(report.summary().contains("device 0 [h800]"));
         assert!(report.summary().contains("calibration: 1 ledger entries"));
         assert!(report.summary().contains("latest window (250 ms)"));
         // Non-finite metrics must not produce invalid JSON.
@@ -1245,10 +1237,7 @@ mod tests {
     fn fleet_trace_reports_per_device_outcomes_that_sum_to_the_total() {
         let config = TraceConfig {
             requests: 40,
-            devices: vec![
-                DeviceSpec::tile_vm(GpuArch::h800()),
-                DeviceSpec::tile_vm(GpuArch::h800()),
-            ],
+            devices: vec![GpuArch::h800(), GpuArch::h800()],
             routing: RoutingPolicy::LeastLoaded,
             mode: Mode::Closed {
                 clients: 2,

@@ -6,8 +6,8 @@
 //! weights) with typed [`RuntimeError::InvalidConfig`] errors instead of
 //! letting the engine panic later.
 //!
-//! [`FleetConfig`] scales one engine to N devices: each [`DeviceSpec`] names
-//! an architecture and a [`BackendKind`], a [`RoutingPolicy`] decides
+//! [`FleetConfig`] scales one engine to N devices: each device is named by
+//! its [`GpuArch`] and executes on the tile VM, a [`RoutingPolicy`] decides
 //! placement at the shared front door, and the per-device tunables
 //! (`RuntimeConfig`) apply to every device uniformly — each device gets its
 //! own worker pool, plan cache and in-flight budget of that size.
@@ -162,68 +162,6 @@ impl RuntimeConfig {
     }
 }
 
-/// Which [`crate::backend::ExecBackend`] implementation a device executes
-/// with. Selected per device in a [`DeviceSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackendKind {
-    /// The real tile-program interpreter
-    /// ([`crate::backend::TileVmBackend`]): compiled plans actually run.
-    #[default]
-    TileVm,
-    /// The accounting-only latency simulation
-    /// ([`crate::backend::CostModelBackend`]): identical compile/tune/cost
-    /// pipeline, shape-correct zero outputs.
-    CostModel,
-}
-
-impl BackendKind {
-    /// The kind's stable name (`"tile-vm"`, `"cost-model"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::TileVm => "tile-vm",
-            BackendKind::CostModel => "cost-model",
-        }
-    }
-
-    /// Looks a kind up by (case-insensitive) name; accepts the canonical
-    /// names plus the `"vm"` / `"cost"` short forms used on CLI surfaces.
-    pub fn by_name(name: &str) -> Option<BackendKind> {
-        match name.to_ascii_lowercase().as_str() {
-            "tile-vm" | "tilevm" | "vm" => Some(BackendKind::TileVm),
-            "cost-model" | "costmodel" | "cost" => Some(BackendKind::CostModel),
-            _ => None,
-        }
-    }
-}
-
-/// One device of a fleet: its architecture plus the backend kind executing
-/// on it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeviceSpec {
-    /// The device's architecture (compilation, tuning and costing key).
-    pub arch: GpuArch,
-    /// How the device executes compiled plans.
-    pub backend: BackendKind,
-}
-
-impl DeviceSpec {
-    /// A device interpreting for real on the tile VM.
-    pub fn tile_vm(arch: GpuArch) -> Self {
-        DeviceSpec {
-            arch,
-            backend: BackendKind::TileVm,
-        }
-    }
-
-    /// A device that only accounts latency on the analytical model.
-    pub fn cost_model(arch: GpuArch) -> Self {
-        DeviceSpec {
-            arch,
-            backend: BackendKind::CostModel,
-        }
-    }
-}
-
 /// How the fleet front door places submissions onto devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoutingPolicy {
@@ -241,25 +179,16 @@ pub enum RoutingPolicy {
     /// partial results are merged deterministically in device order.
     /// Everything that cannot shard falls back to [`Self::LeastLoaded`].
     RowShard,
-    /// Route to the device with the lowest *predicted completion time*:
-    /// queue backlog × the device's calibrated per-class latency estimate
-    /// (measured wall µs from the calibration ledger, falling back to the
-    /// device's observed mean and finally to plain least-loaded while cold).
-    /// Opt-in: unlike [`Self::LeastLoaded`] this biases toward devices that
-    /// have *measured* faster, so a straggler arch stops absorbing half the
-    /// queue just because its queue drains slowly.
-    PredictedLatency,
 }
 
 impl RoutingPolicy {
     /// The policy's stable name (`"least-loaded"`, `"sticky"`,
-    /// `"row-shard"`, `"predicted-latency"`).
+    /// `"row-shard"`).
     pub fn name(self) -> &'static str {
         match self {
             RoutingPolicy::LeastLoaded => "least-loaded",
             RoutingPolicy::StickyByKey => "sticky",
             RoutingPolicy::RowShard => "row-shard",
-            RoutingPolicy::PredictedLatency => "predicted-latency",
         }
     }
 
@@ -269,9 +198,6 @@ impl RoutingPolicy {
             "least-loaded" | "leastloaded" | "least" => Some(RoutingPolicy::LeastLoaded),
             "sticky" | "sticky-by-key" => Some(RoutingPolicy::StickyByKey),
             "row-shard" | "rowshard" | "shard" => Some(RoutingPolicy::RowShard),
-            "predicted-latency" | "predicted" | "predictedlatency" => {
-                Some(RoutingPolicy::PredictedLatency)
-            }
             _ => None,
         }
     }
@@ -281,9 +207,9 @@ impl RoutingPolicy {
 /// routing policy, and the per-device tunables.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
-    /// The devices, in id order. Device `i` of the running fleet is
-    /// `devices[i]`.
-    pub devices: Vec<DeviceSpec>,
+    /// The devices' architectures, in id order. Device `i` of the running
+    /// fleet compiles, tunes and costs for `devices[i]`.
+    pub devices: Vec<GpuArch>,
     /// How the front door places submissions.
     pub routing: RoutingPolicy,
     /// Per-device tunables: every device gets its own worker pool, plan
@@ -293,26 +219,23 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// A single-device tile-VM fleet — behaviourally identical to the
-    /// pre-fleet single-arch engine.
+    /// A single-device fleet — behaviourally identical to the pre-fleet
+    /// single-arch engine.
     pub fn single(arch: GpuArch) -> Self {
         FleetConfig::homogeneous(arch, 1, RuntimeConfig::default())
     }
 
-    /// `devices` identical tile-VM devices of `arch`, each tuned by
-    /// `runtime`.
+    /// `devices` identical devices of `arch`, each tuned by `runtime`.
     pub fn homogeneous(arch: GpuArch, devices: usize, runtime: RuntimeConfig) -> Self {
         FleetConfig {
-            devices: (0..devices)
-                .map(|_| DeviceSpec::tile_vm(arch.clone()))
-                .collect(),
+            devices: vec![arch; devices],
             routing: RoutingPolicy::default(),
             runtime,
         }
     }
 
-    /// An explicitly mixed fleet.
-    pub fn heterogeneous(devices: Vec<DeviceSpec>, runtime: RuntimeConfig) -> Self {
+    /// An explicitly mixed fleet, one device per listed architecture.
+    pub fn heterogeneous(devices: Vec<GpuArch>, runtime: RuntimeConfig) -> Self {
         FleetConfig {
             devices,
             routing: RoutingPolicy::default(),
@@ -500,15 +423,11 @@ mod tests {
             RoutingPolicy::LeastLoaded,
             RoutingPolicy::StickyByKey,
             RoutingPolicy::RowShard,
-            RoutingPolicy::PredictedLatency,
         ] {
             assert_eq!(RoutingPolicy::by_name(policy.name()), Some(policy));
         }
-        for kind in [BackendKind::TileVm, BackendKind::CostModel] {
-            assert_eq!(BackendKind::by_name(kind.name()), Some(kind));
-        }
         assert!(RoutingPolicy::by_name("fifo").is_none());
-        assert!(BackendKind::by_name("fpga").is_none());
+        assert!(RoutingPolicy::by_name("predicted").is_none());
     }
 
     #[test]

@@ -1,26 +1,30 @@
-//! One fleet device: its [`ExecBackend`], plan/tuning caches, stream
-//! scheduler, worker pool and the per-iteration serving loop.
+//! One fleet device: its plan/tuning caches, stream scheduler, worker pool
+//! and the per-iteration serving loop.
 //!
 //! A [`Device`] is the pre-fleet engine's whole execution half, owned per
 //! device id: requests admitted onto its scheduler are formed into
 //! shape-compatible batches at iteration boundaries, compiled (or re-used)
-//! through its own [`PlanCache`], executed by its backend and accounted into
-//! its own [`RuntimeMetrics`]. The only shared piece is the fleet-wide
-//! [`TraceCollector`]; every event a device records is tagged with its id so
-//! the exported trace groups per device.
+//! through its own [`PlanCache`], which fixes the device's architecture,
+//! executed on the tile VM ([`execute_plan`], or [`execute_plan_profiled`]
+//! when op profiling is on; graphs through [`execute_graph_plan`]) and
+//! accounted into its own [`RuntimeMetrics`]. The only shared piece is the
+//! fleet-wide [`TraceCollector`]; every event a device records is tagged with
+//! its id so the exported trace groups per device.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use rf_gpusim::GpuArch;
 use rf_trace::{ArgValue, OpProfiler, OpSample, TraceCollector, TraceEvent, Track};
 
-use crate::backend::{make_backend, ExecBackend};
 use crate::cache::PlanCache;
-use crate::config::{DeviceSpec, RuntimeConfig};
+use crate::config::RuntimeConfig;
+use crate::graph::execute_graph_plan;
 use crate::metrics::RuntimeMetrics;
-use crate::request::{RequestOutput, RuntimeError};
-use crate::stream::{Iteration, QueuedWork, StreamScheduler, Ticket};
+use crate::request::{execute_plan, execute_plan_profiled, RequestOutput, RuntimeError};
+use crate::stream::{batch_latency_us, Iteration, QueuedWork, StreamScheduler, Ticket};
 use crate::submit::{GraphStats, Priority, RequestTiming, Response, Submission};
 
 /// Microseconds from `from` to `to` (0 when the clock says they inverted —
@@ -35,9 +39,7 @@ pub(crate) fn duration_us(from: Instant, to: Instant) -> f64 {
 pub(crate) struct DeviceShared {
     /// The device's position in the fleet (trace process id is `id + 2`).
     pub id: usize,
-    /// How this device executes compiled plans.
-    pub backend: Arc<dyn ExecBackend>,
-    /// This device's own compiled-plan cache (keyed by its backend's arch).
+    /// This device's own compiled-plan cache; its arch is the device's.
     pub cache: PlanCache,
     /// This device's own serving counters.
     pub metrics: RuntimeMetrics,
@@ -47,21 +49,31 @@ pub(crate) struct DeviceShared {
     pub trace: Arc<TraceCollector>,
     /// The fleet-wide tile-VM op profiler (entries are device-keyed).
     /// Disabled unless [`rf_trace::TraceConfig::profile`] is set, in which
-    /// case workload batches execute through the backend's profiled path.
+    /// case workload batches execute through the VM's profiled path.
     pub profiler: Arc<OpProfiler>,
+    /// Measured wall time of this device's latest iteration execution, in
+    /// µs (`f64` bits): the basis of shed retry hints.
+    last_iteration_us: AtomicU64,
 }
 
 impl DeviceShared {
-    /// The backoff to suggest alongside an [`RuntimeError::Overloaded`] shed:
-    /// roughly how long until this device's in-flight budget frees up,
-    /// estimated as the mean simulated request latency times the iterations
-    /// queued ahead.
-    fn retry_hint(&self) -> Duration {
-        let mean_us = self.metrics.mean_us();
-        let depth = self.scheduler.depth() as f64;
-        let iterations_ahead = (depth / self.scheduler.max_batch() as f64).max(1.0);
-        let hint_us = (mean_us.max(10.0) * iterations_ahead).clamp(100.0, 100_000.0);
+    /// The backoff to suggest alongside an [`RuntimeError::Overloaded`] shed
+    /// of `in_flight` queued-or-executing submissions: roughly how long until
+    /// this device's in-flight budget frees up, estimated as the latest
+    /// iteration's measured wall time times the iterations queued ahead,
+    /// clamped to 100 µs ..= 100 ms.
+    fn retry_hint(&self, in_flight: usize) -> Duration {
+        let wall_us = f64::from_bits(self.last_iteration_us.load(Ordering::Relaxed));
+        let iterations_ahead = (in_flight as f64 / self.scheduler.max_batch() as f64).max(1.0);
+        let hint_us = (wall_us * iterations_ahead).clamp(100.0, 100_000.0);
         Duration::from_micros(hint_us as u64)
+    }
+
+    /// Records one iteration's measured execution wall time for
+    /// [`DeviceShared::retry_hint`].
+    fn record_iteration_wall(&self, wall_us: f64) {
+        self.last_iteration_us
+            .store(wall_us.to_bits(), Ordering::Relaxed);
     }
 
     /// Admits one already-validated submission onto this device's scheduler,
@@ -80,7 +92,10 @@ impl DeviceShared {
         // scheduler rejects the request (shutdown or shed), so rejected
         // requests never inflate the counter.
         self.metrics.record_submit(priority);
-        if let Err(err) = self.scheduler.enqueue(queued, self.retry_hint()) {
+        if let Err(err) = self
+            .scheduler
+            .enqueue(queued, |in_flight| self.retry_hint(in_flight))
+        {
             self.metrics.cancel_submit(priority);
             if let RuntimeError::Overloaded { retry_hint, source } = &err {
                 self.metrics.record_shed(priority, *retry_hint);
@@ -126,19 +141,18 @@ pub(crate) struct Device {
 }
 
 impl Device {
-    /// Spawns device `id` per `spec`: instantiates its backend, its own
-    /// caches and scheduler, and `config.workers` worker threads.
+    /// Spawns device `id` for `arch`: its own caches and scheduler, and
+    /// `config.workers` worker threads.
     pub fn start(
         id: usize,
-        spec: &DeviceSpec,
+        arch: &GpuArch,
         config: &RuntimeConfig,
         trace: Arc<TraceCollector>,
         profiler: Arc<OpProfiler>,
     ) -> Device {
         let shared = Arc::new(DeviceShared {
             id,
-            backend: make_backend(spec.backend, spec.arch.clone()),
-            cache: PlanCache::new(spec.arch.clone(), config.cache_capacity),
+            cache: PlanCache::new(arch.clone(), config.cache_capacity),
             metrics: RuntimeMetrics::with_trace(config.trace),
             scheduler: StreamScheduler::new(
                 config.max_batch,
@@ -147,6 +161,7 @@ impl Device {
             ),
             trace,
             profiler,
+            last_iteration_us: AtomicU64::new(0),
         });
         let workers = (0..config.workers)
             .map(|i| {
@@ -222,10 +237,10 @@ fn run_iteration(shared: &DeviceShared, worker: usize, iteration: Iteration) {
     }
 }
 
-/// Executes one shape-compatible batch through the device's backend — a
-/// cache hit reuses both the tuning and the executable. No scheduler or
-/// cache lock is held here: the plan is an `Arc` snapshot and the backend
-/// runs on borrowed views of the queued tensors.
+/// Executes one shape-compatible batch on the tile VM — a cache hit reuses
+/// both the tuning and the executable. No scheduler or cache lock is held
+/// here: the plan is an `Arc` snapshot and the VM runs on borrowed views of
+/// the queued tensors.
 fn run_workload_batch(
     shared: &DeviceShared,
     index: u64,
@@ -249,7 +264,8 @@ fn run_workload_batch(
         (duration_us(plan_started, plan_ready), plan.timing.tune_us)
     };
     let batch_size = work.len();
-    let simulated_us = shared.backend.estimate_us(&plan.profile, batch_size);
+    let arch = shared.cache.arch();
+    let simulated_us = batch_latency_us(arch, &plan.profile, batch_size);
     let (mut executed, mut failed) = (0usize, 0usize);
     for queued in work {
         let priority = queued.priority();
@@ -257,17 +273,12 @@ fn run_workload_batch(
             unreachable!("workload iterations contain only workload submissions");
         };
         let outcome = if shared.profiler.enabled() {
-            shared
-                .backend
-                .execute_profiled(&plan, request)
-                .map(|(output, profile)| {
-                    if let Some(profile) = &profile {
-                        record_op_profile(shared, class, &request.workload.name(), profile);
-                    }
-                    output
-                })
+            execute_plan_profiled(&plan, request).map(|(output, profile)| {
+                record_op_profile(shared, class, &request.workload.name(), &profile);
+                output
+            })
         } else {
-            shared.backend.execute(&plan, request)
+            execute_plan(&plan, request)
         };
         let delivered_at = Instant::now();
         let timing = RequestTiming {
@@ -321,13 +332,13 @@ fn run_workload_batch(
         queued.fulfil(result);
     }
     // Calibrate the cost model: the analytical estimate for this batch
-    // against the wall-clock time the backend actually took to serve it.
+    // against the wall-clock time the VM actually took to serve it.
     let measured_us = duration_us(plan_ready, Instant::now());
+    shared.record_iteration_wall(measured_us);
     shared.metrics.record_calibration(
         class,
-        shared.backend.arch().name,
-        shared.backend.fingerprint(),
-        shared.backend.name(),
+        arch.name,
+        arch.fingerprint(),
         simulated_us,
         measured_us,
     );
@@ -435,7 +446,7 @@ fn record_request_spans(
 }
 
 /// Serves one graph submission: partitions (unless a plan was supplied),
-/// executes the region steps through the device's plan cache and backend,
+/// executes the region steps through the device's plan cache on the tile VM,
 /// and answers with the graph outputs plus serving counters.
 fn run_graph(shared: &DeviceShared, index: u64, work: QueuedWork) {
     let Submission::Graph {
@@ -455,9 +466,9 @@ fn run_graph(shared: &DeviceShared, index: u64, work: QueuedWork) {
     let plan = plan
         .clone()
         .unwrap_or_else(|| Arc::new(rf_graph::partition(&graph)));
-    let result = crate::graph::execute_graph_plan_on(
+    let result = execute_graph_plan(
         &shared.cache,
-        shared.backend.as_ref(),
+        shared.cache.arch(),
         Some(&shared.metrics),
         &graph,
         &plan,
@@ -474,6 +485,7 @@ fn run_graph(shared: &DeviceShared, index: u64, work: QueuedWork) {
         total_us: duration_us(work.submitted_at, delivered_at),
         iterations_waited: index.saturating_sub(work.iterations_at_submit + 1),
     };
+    shared.record_iteration_wall(timing.execute_us);
     if shared.trace.enabled() {
         let trace = &shared.trace;
         let track = Track::Request(work.id);
@@ -518,11 +530,11 @@ fn run_graph(shared: &DeviceShared, index: u64, work: QueuedWork) {
             // already-compiled plan.
             let cache_hit =
                 stats.fused_regions > 0 && stats.region_cache_hits == stats.fused_regions;
+            let arch = shared.cache.arch();
             shared.metrics.record_calibration(
                 "graph",
-                shared.backend.arch().name,
-                shared.backend.fingerprint(),
-                shared.backend.name(),
+                arch.name,
+                arch.fingerprint(),
                 graph_response.simulated_us,
                 timing.execute_us,
             );

@@ -87,10 +87,10 @@ impl Fleet {
             .devices
             .iter()
             .enumerate()
-            .map(|(id, spec)| {
+            .map(|(id, arch)| {
                 Device::start(
                     id,
-                    spec,
+                    arch,
                     &config.runtime,
                     Arc::clone(&trace),
                     Arc::clone(&profiler),

@@ -1,14 +1,15 @@
 //! The serving engine: the unified submission front door, a fleet of
-//! backend-driven devices and the engine lifecycle.
+//! tile-VM devices and the engine lifecycle.
 //!
 //! Everything the engine serves — single workloads, whole operator graphs,
 //! pre-partitioned plans — enters through [`Engine::submit`] as a
 //! [`Submission`] and resolves to a [`crate::Response`] through the returned
 //! [`Ticket`]. The engine is a **fleet**: one or more devices (`device`
-//! module), each owning its own [`crate::backend::ExecBackend`], plan/tuning
-//! caches, work queue and workers, behind a routing policy (`router` module)
-//! that decides placement at submission time ([`crate::RoutingPolicy`]).
-//! Row-shardable workloads can fan out across every device and are
+//! module), each owning its own architecture, plan/tuning caches, work queue
+//! and workers, behind a routing policy (`router` module) that decides
+//! placement at submission time ([`crate::RoutingPolicy`]). Every device
+//! executes its compiled plans on the tile VM, so every served output is
+//! computed. Row-shardable workloads can fan out across every device and are
 //! reassembled deterministically by the `fleet` module's merger. A one-device
 //! fleet behaves exactly like the pre-fleet single-arch engine.
 //!
@@ -64,7 +65,7 @@ use rf_gpusim::GpuArch;
 use rf_trace::{OpProfileSnapshot, TraceCollector, TraceSnapshot};
 
 use crate::cache::CacheStats;
-use crate::config::{DeviceSpec, FleetConfig, RoutingPolicy, RuntimeConfig};
+use crate::config::{FleetConfig, RoutingPolicy, RuntimeConfig};
 use crate::metrics::{MetricsSnapshot, RuntimeMetrics};
 use crate::request::RuntimeError;
 use crate::stream::Ticket;
@@ -80,9 +81,7 @@ pub struct DeviceSnapshot {
     pub device: usize,
     /// The architecture the device compiles and costs for.
     pub arch: &'static str,
-    /// The backend kind executing on it (`"tile-vm"`, `"cost-model"`).
-    pub backend: &'static str,
-    /// The backend's capability fingerprint (equal fingerprints mean
+    /// The architecture's capability fingerprint (equal fingerprints mean
     /// interchangeable compiled plans).
     pub fingerprint: u64,
     /// The device's own metrics snapshot (its queue depth, caches, latency
@@ -97,8 +96,8 @@ pub struct DeviceSnapshot {
 /// worker pool serves its stream in iterations, grouping shape-compatible
 /// requests into batches formed at each iteration boundary, compiling (or
 /// re-using) fused plans via its own [`crate::PlanCache`] and executing
-/// through its [`crate::backend::ExecBackend`]. Admission is bounded per
-/// device: past [`RuntimeConfig::max_in_flight`] a device sheds with
+/// them on the tile VM. Admission is bounded per device: past
+/// [`RuntimeConfig::max_in_flight`] a device sheds with
 /// [`RuntimeError::Overloaded`] instead of queuing without bound. Dropping
 /// the engine shuts the fleet down; still-queued submissions fail with
 /// [`RuntimeError::ShuttingDown`].
@@ -141,7 +140,7 @@ impl Engine {
     /// invariant (see [`RuntimeConfig::validate`]).
     pub fn try_with_config(arch: GpuArch, config: RuntimeConfig) -> Result<Self, RuntimeError> {
         Engine::try_with_fleet(FleetConfig {
-            devices: vec![DeviceSpec::tile_vm(arch)],
+            devices: vec![arch],
             routing: RoutingPolicy::default(),
             runtime: config,
         })
@@ -179,7 +178,7 @@ impl Engine {
     /// The architecture of device 0 — the whole fleet's architecture when it
     /// is homogeneous.
     pub fn arch(&self) -> &GpuArch {
-        self.fleet.devices[0].shared.backend.arch()
+        self.fleet.devices[0].shared.cache.arch()
     }
 
     /// Number of devices in the fleet.
@@ -198,11 +197,9 @@ impl Engine {
     /// [`crate::Priority::Normal`].
     ///
     /// Placement follows the fleet's [`RoutingPolicy`]: least-loaded picks
-    /// the shallowest queue, sticky-by-key hashes the workload key,
-    /// predicted-latency weighs each device's backlog by its calibrated
-    /// per-class cost, and row-shard fans eligible workloads out across
-    /// every device (the returned ticket then resolves to the merged
-    /// response). The request
+    /// the shallowest queue, sticky-by-key hashes the workload key, and
+    /// row-shard fans eligible workloads out across every device (the
+    /// returned ticket then resolves to the merged response). The request
     /// joins its device's open stream immediately: if a batch is executing
     /// right now, the request is eligible for the next iteration boundary —
     /// it never waits for the queue to drain.
@@ -235,27 +232,6 @@ impl Engine {
         }
         let target = if self.fleet.devices.len() == 1 {
             0
-        } else if self.fleet.routing == RoutingPolicy::PredictedLatency {
-            // Predicted completion time: backlog × this device's calibrated
-            // per-class cost. An uncalibrated device falls back to its
-            // observed mean, and while everything is cold the costs are
-            // equal and the choice degrades to least-loaded.
-            let class = match &submission {
-                Submission::Workload { request, .. } => request.workload.class(),
-                Submission::Graph { .. } => "graph",
-            };
-            let costs: Vec<f64> = self
-                .fleet
-                .devices
-                .iter()
-                .map(|device| {
-                    let metrics = &device.shared.metrics;
-                    metrics
-                        .calibrated_us(class)
-                        .unwrap_or_else(|| metrics.mean_us())
-                })
-                .collect();
-            router::predicted_latency(&self.fleet.depths(), &costs)
         } else {
             router::route(self.fleet.routing, &submission, &self.fleet.depths())
         };
@@ -342,18 +318,18 @@ impl Engine {
     }
 
     /// Per-device snapshots, in device order: each device's identity
-    /// (arch, backend, fingerprint) plus its own private metrics.
+    /// (arch, fingerprint) plus its own private metrics.
     pub fn device_snapshots(&self) -> Vec<DeviceSnapshot> {
         self.fleet
             .devices
             .iter()
             .map(|device| {
                 let shared = &device.shared;
+                let arch = shared.cache.arch();
                 DeviceSnapshot {
                     device: shared.id,
-                    arch: shared.backend.arch().name,
-                    backend: shared.backend.name(),
-                    fingerprint: shared.backend.fingerprint(),
+                    arch: arch.name,
+                    fingerprint: arch.fingerprint(),
                     metrics: shared.snapshot(),
                 }
             })
@@ -755,6 +731,62 @@ mod tests {
     }
 
     #[test]
+    fn shed_retry_hint_covers_the_measured_execute_time() {
+        // One worker, one request in flight at a time: a multi-ms softmax
+        // keeps the device busy, so a second submission sheds while the
+        // first executes.
+        let engine = Engine::with_config(
+            GpuArch::h800(),
+            RuntimeConfig::builder()
+                .workers(1)
+                .max_batch(1)
+                .max_in_flight(1)
+                .build()
+                .unwrap(),
+        );
+        let request = || Request::softmax(random_matrix(64, 2048, 3, -2.0, 2.0));
+        // Warm the plan cache, then serve sequentially to measure the VM.
+        let mut executed_us = Vec::new();
+        for _ in 0..3 {
+            let response = engine.submit(request()).unwrap().wait().unwrap();
+            executed_us.push(response.timing().execute_us);
+            // The ticket resolves before the worker frees its budget slot.
+            engine.run_until_drained();
+        }
+        let retry_hint = loop {
+            let admitted = engine.submit(request()).unwrap();
+            match engine.submit(request()) {
+                Err(RuntimeError::Overloaded { retry_hint, .. }) => {
+                    executed_us.push(admitted.wait().unwrap().timing().execute_us);
+                    break retry_hint;
+                }
+                Ok(ticket) => {
+                    // The first finished before the second arrived: both
+                    // served, try again.
+                    for ticket in [admitted, ticket] {
+                        executed_us.push(ticket.wait().unwrap().timing().execute_us);
+                    }
+                    engine.run_until_drained();
+                }
+                Err(other) => panic!("unexpected error: {other:?}"),
+            }
+        };
+        let fastest_us = executed_us.iter().copied().fold(f64::INFINITY, f64::min);
+        assert!(
+            fastest_us > 1_000.0,
+            "the workload must take milliseconds on the VM, took {fastest_us:.0} us"
+        );
+        // The hint is wall time (the modelled H800 latency of this softmax
+        // is under 10 µs), clamped to 100 µs ..= 100 ms.
+        let floor_us = fastest_us.clamp(100.0, 100_000.0) as u64;
+        assert!(
+            retry_hint >= std::time::Duration::from_micros(floor_us),
+            "retry hint {retry_hint:?} is below the measured execute time {fastest_us:.0} us"
+        );
+        assert!(retry_hint <= std::time::Duration::from_millis(100));
+    }
+
+    #[test]
     fn responses_carry_a_wall_clock_timing_breakdown() {
         let engine = tiny_engine(1);
         let first = engine
@@ -924,7 +956,6 @@ mod tests {
         let entry = &metrics.calibration[0];
         assert_eq!(entry.class, "softmax");
         assert_eq!(entry.arch, "NVIDIA A10");
-        assert_eq!(entry.backend, "tile-vm");
         assert!(entry.samples >= 1);
         assert!(entry.predicted_mean_us > 0.0);
         assert!(entry.measured_mean_us > 0.0);
@@ -978,38 +1009,6 @@ mod tests {
     }
 
     #[test]
-    fn predicted_latency_fleet_serves_and_stays_correct() {
-        let engine = Engine::with_fleet(FleetConfig {
-            devices: vec![
-                DeviceSpec::tile_vm(GpuArch::a10()),
-                DeviceSpec::tile_vm(GpuArch::h800()),
-            ],
-            routing: RoutingPolicy::PredictedLatency,
-            runtime: RuntimeConfig::builder()
-                .workers(1)
-                .max_batch(4)
-                .build()
-                .unwrap(),
-        });
-        assert_eq!(engine.routing(), RoutingPolicy::PredictedLatency);
-        let requests: Vec<Request> = (0..12)
-            .map(|seed| Request::softmax(random_matrix(4, 64, seed, -1.0, 1.0)))
-            .collect();
-        let tickets: Vec<Ticket> = requests
-            .iter()
-            .map(|r| engine.submit(r.clone()).unwrap())
-            .collect();
-        engine.run_until_drained();
-        for (request, ticket) in requests.iter().zip(tickets) {
-            let response = ticket.wait().unwrap();
-            let oracle = execute_reference(&request.workload, &request.input);
-            assert!(response.output.approx_eq(&oracle, 1e-9));
-            assert!(response.device < 2);
-        }
-        assert_eq!(engine.metrics().completed, 12);
-    }
-
-    #[test]
     fn multi_device_fleet_spreads_load_and_merges_metrics() {
         let engine = Engine::with_fleet(FleetConfig::homogeneous(
             GpuArch::a10(),
@@ -1047,7 +1046,6 @@ mod tests {
         assert_eq!(snapshots.len(), 3);
         let per_device_completed: u64 = snapshots.iter().map(|d| d.metrics.completed).sum();
         assert_eq!(per_device_completed, 24);
-        assert!(snapshots.iter().all(|d| d.backend == "tile-vm"));
         assert!(snapshots.iter().all(|d| d.arch == "NVIDIA A10"));
         // Every device compiled the (one) shape it saw.
         assert!(merged.cache.misses >= devices_seen.len() as u64);

@@ -5,7 +5,7 @@
 //! device id (or [`shard_request`] for a tensor-parallel split) and performs
 //! the admission itself, so every policy is unit-testable without threads.
 //!
-//! Four policies ship (see [`RoutingPolicy`]):
+//! Three policies ship (see [`RoutingPolicy`]):
 //!
 //! * **least-loaded** — argmin of queue depth, ties to the lowest device id.
 //! * **sticky-by-key** — a stable hash of the workload key (the compiled-plan
@@ -15,11 +15,6 @@
 //!   families whose output rows are independent: MHA over query rows and
 //!   quant-GEMM over activation rows. Everything else falls back to
 //!   least-loaded.
-//! * **predicted-latency** — argmin of predicted completion time: queue
-//!   backlog times each device's calibrated per-class cost (from its
-//!   calibration ledger). The front door samples the costs and calls
-//!   [`predicted_latency`]; with no calibration yet every cost is equal and
-//!   the policy degrades to least-loaded.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -43,25 +38,6 @@ pub(crate) fn least_loaded(depths: &[usize]) -> usize {
         .unwrap_or(0)
 }
 
-/// The device with the smallest predicted completion time for one more
-/// submission: `(depth + 1) × cost_us`, where `cost_us` is the device's
-/// calibrated mean latency for the submission's class (clamped to ≥ 1 µs so
-/// an uncalibrated 0 never makes a device look infinitely fast). Ties break
-/// to the lowest device id; when every cost is equal — the cold-start case —
-/// the score reduces to queue depth and the choice matches least-loaded.
-pub(crate) fn predicted_latency(depths: &[usize], costs_us: &[f64]) -> usize {
-    let mut best = 0usize;
-    let mut best_score = f64::INFINITY;
-    for (id, (&depth, &cost)) in depths.iter().zip(costs_us).enumerate() {
-        let score = (depth as f64 + 1.0) * cost.max(1.0);
-        if score < best_score {
-            best = id;
-            best_score = score;
-        }
-    }
-    best
-}
-
 /// Stable placement by workload key: the same key always hashes to the same
 /// device, maximising plan-cache and batch locality there. Workload
 /// submissions key by the [`Workload`] itself (the plan-cache key); graphs
@@ -77,14 +53,10 @@ pub(crate) fn sticky(submission: &Submission, devices: usize) -> usize {
 
 /// Picks the device for one unsharded submission under `policy`.
 /// [`RoutingPolicy::RowShard`] reaches here only for work that cannot shard,
-/// which falls back to least-loaded. [`RoutingPolicy::PredictedLatency`] is
-/// handled by the front door (it owns the per-device cost samples) via
-/// [`predicted_latency`]; reaching it here is the cost-free fallback.
+/// which falls back to least-loaded.
 pub(crate) fn route(policy: RoutingPolicy, submission: &Submission, depths: &[usize]) -> usize {
     match policy {
-        RoutingPolicy::LeastLoaded | RoutingPolicy::RowShard | RoutingPolicy::PredictedLatency => {
-            least_loaded(depths)
-        }
+        RoutingPolicy::LeastLoaded | RoutingPolicy::RowShard => least_loaded(depths),
         RoutingPolicy::StickyByKey => sticky(submission, depths.len()),
     }
 }
@@ -172,22 +144,6 @@ mod tests {
         let depths = [7usize, 2, 9, 2, 4];
         let chosen = least_loaded(&depths);
         assert_eq!(depths[chosen], *depths.iter().min().unwrap());
-    }
-
-    #[test]
-    fn predicted_latency_weighs_backlog_by_calibrated_cost() {
-        // Device 1 is slower per request (300 µs vs 100 µs): even with a
-        // deeper queue, device 0 finishes one more submission sooner.
-        assert_eq!(predicted_latency(&[2, 0], &[100.0, 300.0]), 0);
-        // A fast device digs out of a backlog a slow one never would.
-        assert_eq!(predicted_latency(&[9, 0], &[100.0, 20_000.0]), 0);
-        // Equal costs — the cold-start case — match least-loaded exactly,
-        // including the tie-to-lowest-id rule.
-        let depths = [3usize, 1, 2, 1];
-        assert_eq!(predicted_latency(&depths, &[0.0; 4]), least_loaded(&depths));
-        assert_eq!(predicted_latency(&[0, 0], &[1.0, 1.0]), 0);
-        // Zero/negative costs are clamped, never making a device free.
-        assert_eq!(predicted_latency(&[5, 1], &[0.0, 0.0]), 1);
     }
 
     #[test]

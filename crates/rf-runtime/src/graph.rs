@@ -6,8 +6,8 @@
 //!
 //! * a **fused region** step compiles (or re-uses, via the [`PlanCache`]
 //!   keyed by the region's workload — the graph-region fingerprint) the
-//!   region's workload and interprets the compiled tile program over the
-//!   region's input tensors;
+//!   region's workload and interprets the compiled tile program on the tile
+//!   VM over the region's input tensors;
 //! * a **glue op** step executes the node's unfused reference kernel.
 //!
 //! The result of every step lands in the shared value table, so a glue op
@@ -20,7 +20,6 @@ use rf_graph::{glue_profile, OpGraph};
 use rf_tile::exec::{ExecInput, ExecOutput};
 use rf_workloads::Matrix;
 
-use crate::backend::{ExecBackend, TileVmBackend};
 use crate::cache::PlanCache;
 use crate::metrics::RuntimeMetrics;
 use crate::request::RuntimeError;
@@ -69,27 +68,6 @@ pub fn execute_graph_plan<S: AsRef<str>>(
     plan: &GraphPlan,
     bindings: &[(S, Matrix)],
 ) -> Result<GraphResponse, RuntimeError> {
-    let backend = TileVmBackend::new(arch.clone());
-    execute_graph_plan_on(cache, &backend, metrics, graph, plan, bindings)
-}
-
-/// Like [`execute_graph_plan`], but executing through an explicit
-/// [`ExecBackend`] instead of constructing the tile-VM backend from an arch —
-/// the form the fleet devices use, so graph regions run (or are synthesised)
-/// on the same backend as workload requests, and glue ops are costed on the
-/// backend's architecture.
-///
-/// # Errors
-///
-/// See [`execute_graph_plan`].
-pub fn execute_graph_plan_on<S: AsRef<str>>(
-    cache: &PlanCache,
-    backend: &dyn ExecBackend,
-    metrics: Option<&RuntimeMetrics>,
-    graph: &OpGraph,
-    plan: &GraphPlan,
-    bindings: &[(S, Matrix)],
-) -> Result<GraphResponse, RuntimeError> {
     let mut values = graph
         .bind(bindings)
         .map_err(RuntimeError::from_graph_error)?;
@@ -107,8 +85,7 @@ pub fn execute_graph_plan_on<S: AsRef<str>>(
                     .map_err(RuntimeError::from_graph_error)?;
                 values[*id] = Some(value);
                 glue_ops += 1;
-                simulated_us +=
-                    estimate_latency(backend.arch(), &glue_profile(graph, *id)).total_us;
+                simulated_us += estimate_latency(arch, &glue_profile(graph, *id)).total_us;
             }
             Step::Region(region) => {
                 let (kernel, hit) = cache.get_or_compile_traced(&region.workload);
@@ -134,8 +111,7 @@ pub fn execute_graph_plan_on<S: AsRef<str>>(
                             w: tensor(w)?,
                         },
                     };
-                    let output = backend.run_region(&region.workload, &kernel, &input);
-                    let output = output.map_err(|e| {
+                    let output = kernel.run(&input).map_err(|e| {
                         graph_err(format!("region `{}`: {e}", region.workload.name()))
                     })?;
                     match output {

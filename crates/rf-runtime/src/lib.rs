@@ -49,12 +49,17 @@
 //! assert_eq!(engine.cache_stats().misses, 1);
 //! ```
 //!
+//! Execution has one path: every device of the fleet interprets each cached
+//! kernel's tile program on the `rf_tile::exec` VM ([`execute_plan`]; graph
+//! submissions go through [`execute_graph_plan`]), so every served output is
+//! computed. A device's [`rf_gpusim::GpuArch`] decides only what its plans
+//! are compiled, tuned and costed for.
+//!
 //! Locking discipline: the scheduler mutex and the cache's `RwLock` protect
 //! only queue and map state. Compilation runs behind a per-key
 //! [`std::sync::OnceLock`] and kernel execution runs on `Arc` snapshots — no
 //! lock is ever held across either.
 
-pub mod backend;
 pub mod cache;
 pub mod config;
 pub mod engine;
@@ -64,14 +69,10 @@ pub mod request;
 pub mod stream;
 pub mod submit;
 
-pub use backend::{make_backend, CostModelBackend, ExecBackend, TileVmBackend};
 pub use cache::{CacheStats, PlanCache};
-pub use config::{
-    BackendKind, DeviceSpec, FleetConfig, LaneWeights, RoutingPolicy, RuntimeConfig,
-    RuntimeConfigBuilder,
-};
+pub use config::{FleetConfig, LaneWeights, RoutingPolicy, RuntimeConfig, RuntimeConfigBuilder};
 pub use engine::{DeviceSnapshot, Engine};
-pub use graph::{execute_graph_plan, execute_graph_plan_on, GraphResponse};
+pub use graph::{execute_graph_plan, GraphResponse};
 pub use metrics::{ClassSnapshot, LaneSnapshot, MetricsSnapshot, RuntimeMetrics};
 pub use request::{
     execute_plan, execute_reference, OverloadInfo, Request, RequestId, RequestInput, RequestOutput,

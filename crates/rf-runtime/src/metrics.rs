@@ -117,7 +117,7 @@ pub struct RuntimeMetrics {
     region_lookups: AtomicU64,
     /// Fused-region plan lookups served from the plan cache.
     region_hits: AtomicU64,
-    /// Predicted-vs-measured latency ledger per (class, arch, backend).
+    /// Predicted-vs-measured latency ledger per (class, arch).
     calibration: CalibrationLedger,
     /// Rolling time-windowed telemetry (throughput, p99, shed rate, batch
     /// occupancy, busy fraction per fixed-width window).
@@ -268,7 +268,7 @@ pub struct MetricsSnapshot {
     pub region_lookups: u64,
     /// Fused-region plan lookups served from the plan cache.
     pub region_hits: u64,
-    /// Cost-model calibration per (class, arch, backend): predicted vs
+    /// Cost-model calibration per (class, arch): predicted vs
     /// measured latency, MAPE, relative-error percentiles and the drift
     /// flag. Empty at [`TraceLevel::Off`].
     pub calibration: Vec<CalibrationSnapshot>,
@@ -513,19 +513,6 @@ impl RuntimeMetrics {
             .fetch_add(served as u64, Ordering::Relaxed);
     }
 
-    /// Mean simulated request latency over the engine's lifetime, in
-    /// microseconds (`0.0` before the first served request). Cheap enough
-    /// for the submission path: the engine derives overload retry hints
-    /// from it.
-    pub fn mean_us(&self) -> f64 {
-        let track = self.latencies_us.lock().expect("metrics lock poisoned");
-        if track.count == 0 {
-            0.0
-        } else {
-            track.total_us / track.count as f64
-        }
-    }
-
     /// Records one batch of workload class `class`: `executed` requests were
     /// served successfully (each experiencing the batch's simulated latency
     /// `latency_us`) and `failed` requests were delivered an execution error.
@@ -597,17 +584,16 @@ impl RuntimeMetrics {
         }
     }
 
-    /// Records one executed batch into the cost-model calibration ledger:
+    /// Records one executed batch into the calibration ledger:
     /// `predicted_us` is the analytical model's estimate for the batch,
-    /// `measured_us` the wall-clock time the backend actually took, keyed by
-    /// (workload class, arch, arch fingerprint, backend). No-op at
+    /// `measured_us` the wall-clock time the tile VM actually took, keyed by
+    /// (workload class, arch, arch fingerprint). No-op at
     /// [`TraceLevel::Off`].
     pub fn record_calibration(
         &self,
         class: &str,
         arch: &str,
         fingerprint: u64,
-        backend: &str,
         predicted_us: f64,
         measured_us: f64,
     ) {
@@ -615,14 +601,7 @@ impl RuntimeMetrics {
             return;
         }
         self.calibration
-            .record(class, arch, fingerprint, backend, predicted_us, measured_us);
-    }
-
-    /// The calibrated (measured) mean latency in µs for `class`, `None`
-    /// until the ledger has seen at least one sample. The predicted-latency
-    /// router weighs per-device queue backlogs with this.
-    pub fn calibrated_us(&self, class: &str) -> Option<f64> {
-        self.calibration.calibrated_us(class)
+            .record(class, arch, fingerprint, predicted_us, measured_us);
     }
 
     /// Records one graph served end-to-end: `fused_ops` graph ops were
@@ -873,13 +852,13 @@ impl MetricsSnapshot {
             }
         }
         if !self.calibration.is_empty() {
-            out.push_str("  cost-model calibration\n");
+            out.push_str("  calibration: modelled vs measured\n");
             for entry in &self.calibration {
                 out.push_str(&format!(
-                    "    {:<10} {:<10} n {:>6}  mape {:>6.1}%  rel-err p50 {:>5.2} p95 {:>5.2}  \
+                    "    {:<10} {:<12} n {:>6}  mape {:>6.1}%  rel-err p50 {:>5.2} p95 {:>5.2}  \
                      ratio {:>9.2}{}\n",
                     entry.class,
-                    entry.backend,
+                    entry.arch,
                     entry.samples,
                     entry.mape_pct,
                     entry.rel_err_p50,
@@ -1071,7 +1050,7 @@ impl MetricsSnapshot {
                 &mut out,
                 "redfuser_calibration_samples_total",
                 "counter",
-                "Predicted-vs-measured latency pairs recorded per (class, arch, backend).",
+                "Predicted-vs-measured latency pairs recorded per (class, arch).",
             );
             for entry in &self.calibration {
                 out.push_str(&format!(
@@ -1155,7 +1134,7 @@ impl MetricsSnapshot {
 
     /// [`MetricsSnapshot::prometheus`] plus per-device gauges: each device of
     /// the fleet contributes its own traffic counters, queue depth and
-    /// latency summary under `device`/`arch`/`backend` labels (from
+    /// latency summary under `device`/`arch` labels (from
     /// [`crate::Engine::device_snapshots`]), so a scrape can tell a hot
     /// device from an idle one inside an otherwise-aggregated fleet.
     pub fn prometheus_with_devices(&self, devices: &[crate::engine::DeviceSnapshot]) -> String {
@@ -1167,10 +1146,7 @@ impl MetricsSnapshot {
             return out;
         }
         let label = |d: &crate::engine::DeviceSnapshot| {
-            format!(
-                "device=\"{}\",arch=\"{}\",backend=\"{}\"",
-                d.device, d.arch, d.backend
-            )
+            format!("device=\"{}\",arch=\"{}\"", d.device, d.arch)
         };
         meta(
             &mut out,
@@ -1236,10 +1212,7 @@ impl MetricsSnapshot {
 
 /// The Prometheus label set of one calibration entry.
 fn calibration_labels(entry: &CalibrationSnapshot) -> String {
-    format!(
-        "class=\"{}\",arch=\"{}\",backend=\"{}\"",
-        entry.class, entry.arch, entry.backend
-    )
+    format!("class=\"{}\",arch=\"{}\"", entry.class, entry.arch)
 }
 
 #[cfg(test)]
@@ -1370,7 +1343,6 @@ mod tests {
         assert_eq!(snap.p50_us, 10.0);
         assert!(snap.p99_us > 10.0 && snap.p99_us <= 50.0);
         assert!((snap.mean_us - 20.0).abs() < 1e-12);
-        assert_eq!(metrics.mean_us(), snap.mean_us);
         // Lane attribution: 4 normal submissions, 3 normal + 1 high served.
         assert_eq!(snap.lanes.len(), LANES);
         assert_eq!(snap.lanes[0].lane, "high");
@@ -1381,7 +1353,8 @@ mod tests {
     #[test]
     fn sheds_are_counted_per_lane_and_reported() {
         let metrics = RuntimeMetrics::new();
-        assert_eq!(metrics.mean_us(), 0.0, "no samples => zero mean");
+        let empty = metrics.snapshot(0, empty_cache_stats(), empty_tuning_stats());
+        assert_eq!(empty.mean_us, 0.0, "no samples => zero mean");
         // An overloaded submission is first counted, then rolled back and
         // recorded as a shed — it must not inflate `submitted`.
         metrics.record_submit(Priority::Low);
@@ -1567,7 +1540,7 @@ mod tests {
         metrics.record_batch("softmax", 2, 0, 10.0, false);
         // 10% over-prediction on every sample: MAPE 10, no drift.
         for _ in 0..4 {
-            metrics.record_calibration("softmax", "NVIDIA A10", 42, "tile-vm", 100.0, 90.0);
+            metrics.record_calibration("softmax", "NVIDIA A10", 42, 100.0, 90.0);
         }
         let snap = metrics.snapshot(0, empty_cache_stats(), empty_tuning_stats());
         assert_eq!(snap.calibration.len(), 1);
@@ -1585,16 +1558,14 @@ mod tests {
         assert!(window.p99_us >= 10.0);
         // Both surface in the report and the exposition.
         let report = snap.report();
-        assert!(report.contains("cost-model calibration"));
+        assert!(report.contains("calibration: modelled vs measured"));
         assert!(!report.contains("DRIFTING"));
         assert!(report.contains("latest window"));
         let text = snap.prometheus();
         for needle in [
-            "redfuser_calibration_samples_total{class=\"softmax\",arch=\"NVIDIA A10\",\
-             backend=\"tile-vm\"} 4",
+            "redfuser_calibration_samples_total{class=\"softmax\",arch=\"NVIDIA A10\"} 4",
             "# TYPE redfuser_calibration_mape_pct gauge",
-            "redfuser_calibration_drifting{class=\"softmax\",arch=\"NVIDIA A10\",\
-             backend=\"tile-vm\"} 0",
+            "redfuser_calibration_drifting{class=\"softmax\",arch=\"NVIDIA A10\"} 0",
             "redfuser_window_throughput_rps",
             "redfuser_window_busy_frac",
         ] {
@@ -1619,20 +1590,19 @@ mod tests {
     fn calibration_is_gated_off_and_merges_across_devices() {
         // At TraceLevel::Off neither ledger records anything.
         let off = RuntimeMetrics::with_level(TraceLevel::Off);
-        off.record_calibration("softmax", "NVIDIA A10", 42, "tile-vm", 100.0, 90.0);
+        off.record_calibration("softmax", "NVIDIA A10", 42, 100.0, 90.0);
         off.record_submit(Priority::Normal);
         off.record_batch("softmax", 1, 0, 10.0, false);
         let snap = off.snapshot(0, empty_cache_stats(), empty_tuning_stats());
         assert!(snap.calibration.is_empty());
         assert!(snap.timeseries.is_empty());
-        assert_eq!(off.calibrated_us("softmax"), None);
 
         // Two device ledgers fold into one fleet view.
         let a = RuntimeMetrics::new();
         let b = RuntimeMetrics::new();
-        a.record_calibration("softmax", "NVIDIA A10", 42, "tile-vm", 100.0, 90.0);
-        b.record_calibration("softmax", "NVIDIA A10", 42, "tile-vm", 100.0, 110.0);
-        b.record_calibration("mha", "NVIDIA H800", 7, "cost-model", 50.0, 50.0);
+        a.record_calibration("softmax", "NVIDIA A10", 42, 100.0, 90.0);
+        b.record_calibration("softmax", "NVIDIA A10", 42, 100.0, 110.0);
+        b.record_calibration("mha", "NVIDIA H800", 7, 50.0, 50.0);
         b.record_batch("mha", 1, 0, 20.0, true);
         let merged = RuntimeMetrics::new();
         merged.merge_from(&a);
@@ -1647,8 +1617,9 @@ mod tests {
         assert_eq!(softmax.samples, 2);
         assert!((softmax.mean_ratio - 1.0).abs() < 1e-9);
         // Calibrated cost: the sample-weighted measured mean.
-        assert_eq!(merged.calibrated_us("softmax"), Some(100.0));
-        assert_eq!(merged.calibrated_us("mha"), Some(50.0));
+        assert_eq!(softmax.measured_mean_us, 100.0);
+        let mha = snap.calibration.iter().find(|e| e.class == "mha").unwrap();
+        assert_eq!(mha.measured_mean_us, 50.0);
         // The merged telemetry ring carries b's batch.
         let window = snap.timeseries.latest_active().expect("an active window");
         assert_eq!(window.completed, 1);
@@ -1666,7 +1637,6 @@ mod tests {
             .map(|(id, (arch, metrics))| crate::engine::DeviceSnapshot {
                 device: id,
                 arch,
-                backend: "tile-vm",
                 fingerprint: id as u64,
                 metrics: metrics.snapshot(id, empty_cache_stats(), empty_tuning_stats()),
             })
@@ -1679,12 +1649,10 @@ mod tests {
             .prometheus_with_devices(&devices);
         for needle in [
             "# TYPE redfuser_device_requests_total counter",
-            "redfuser_device_requests_total{device=\"0\",arch=\"NVIDIA A10\",\
-             backend=\"tile-vm\",outcome=\"completed\"} 1",
-            "redfuser_device_requests_total{device=\"1\",arch=\"NVIDIA H800\",\
-             backend=\"tile-vm\",outcome=\"completed\"} 0",
-            "redfuser_device_queue_depth{device=\"1\",arch=\"NVIDIA H800\",backend=\"tile-vm\"} 1",
-            "redfuser_device_busy_us{device=\"0\",arch=\"NVIDIA A10\",backend=\"tile-vm\"} 10",
+            "redfuser_device_requests_total{device=\"0\",arch=\"NVIDIA A10\",outcome=\"completed\"} 1",
+            "redfuser_device_requests_total{device=\"1\",arch=\"NVIDIA H800\",outcome=\"completed\"} 0",
+            "redfuser_device_queue_depth{device=\"1\",arch=\"NVIDIA H800\"} 1",
+            "redfuser_device_busy_us{device=\"0\",arch=\"NVIDIA A10\"} 10",
             "redfuser_device_p99_us{device=\"0\"",
         ] {
             assert!(

@@ -101,8 +101,8 @@ pub enum RuntimeError {
     /// shed instead of queued. Graceful degradation under open-loop overload:
     /// the caller should back off for roughly `retry_hint` and resubmit.
     Overloaded {
-        /// A backoff estimate derived from the current depth and the recent
-        /// mean iteration latency.
+        /// A backoff estimate derived from the in-flight depth at shed time
+        /// and the device's latest measured iteration wall time.
         retry_hint: Duration,
         /// The admission-control state at shed time; reachable via
         /// [`std::error::Error::source`].

@@ -336,36 +336,43 @@ impl StreamScheduler {
     }
 
     /// Enqueues a submission onto its priority lane, enforcing the in-flight
-    /// budget. `retry_hint` is the backoff estimate to embed in the
-    /// [`RuntimeError::Overloaded`] shed error (computed by the engine from
-    /// its recent latency).
+    /// budget. Only when the budget is exhausted is `retry_hint` called, with
+    /// the in-flight count at shed time and after the scheduler lock is
+    /// released, for the backoff to embed in the
+    /// [`RuntimeError::Overloaded`] shed error.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::ShuttingDown`] after [`StreamScheduler::shutdown`];
     /// [`RuntimeError::Overloaded`] when the budget is exhausted.
-    pub fn enqueue(&self, mut work: QueuedWork, retry_hint: Duration) -> Result<(), RuntimeError> {
-        {
+    pub fn enqueue(
+        &self,
+        mut work: QueuedWork,
+        retry_hint: impl FnOnce(usize) -> Duration,
+    ) -> Result<(), RuntimeError> {
+        let in_flight = {
             let mut state = self.state.lock().expect("scheduler lock poisoned");
             if state.shutdown {
                 return Err(RuntimeError::ShuttingDown);
             }
             let depth = state.queued() + state.in_flight;
-            if depth >= self.max_in_flight {
-                return Err(RuntimeError::Overloaded {
-                    retry_hint,
-                    source: crate::request::OverloadInfo {
-                        in_flight: depth,
-                        budget: self.max_in_flight,
-                    },
-                });
+            if depth < self.max_in_flight {
+                work.iterations_at_submit = state.iterations;
+                let lane = work.priority().lane();
+                state.lanes[lane].push_back(work);
+                drop(state);
+                self.work.notify_one();
+                return Ok(());
             }
-            work.iterations_at_submit = state.iterations;
-            let lane = work.priority().lane();
-            state.lanes[lane].push_back(work);
-        }
-        self.work.notify_one();
-        Ok(())
+            depth
+        };
+        Err(RuntimeError::Overloaded {
+            retry_hint: retry_hint(in_flight),
+            source: crate::request::OverloadInfo {
+                in_flight,
+                budget: self.max_in_flight,
+            },
+        })
     }
 
     /// Blocks until work is available and forms the next iteration at the
@@ -541,7 +548,7 @@ mod tests {
         StreamScheduler::new(max_batch, max_in_flight, [4, 2, 1])
     }
 
-    const HINT: Duration = Duration::from_millis(1);
+    const HINT: fn(usize) -> Duration = |_| Duration::from_millis(1);
 
     fn ids(iteration: &Iteration) -> Vec<RequestId> {
         iteration.work.iter().map(|w| w.id).collect()
@@ -647,7 +654,7 @@ mod tests {
         }
         // Budget exhausted: the 4th submission is shed, typed and hinted.
         let (work, _ticket) = softmax_work(3, 16);
-        let err = s.enqueue(work, Duration::from_millis(7)).unwrap_err();
+        let err = s.enqueue(work, |_| Duration::from_millis(7)).unwrap_err();
         assert_eq!(err.code(), "overloaded");
         let RuntimeError::Overloaded { retry_hint, source } = &err else {
             panic!("expected Overloaded, got {err:?}");

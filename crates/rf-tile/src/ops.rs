@@ -174,8 +174,8 @@ pub struct TileProgram {
     pub combine_kernel: Option<Box<TileProgram>>,
     /// Execution binding: the reduction semantics and clamped loop extents the
     /// [`crate::exec`] virtual machine needs to run the program over real
-    /// tensors. `None` for cost-model-only programs (they can be displayed and
-    /// costed but not executed).
+    /// tensors. `None` for programs lowered only for the cost model (they
+    /// can be displayed and costed but not executed).
     pub binding: Option<ExecBinding>,
 }
 

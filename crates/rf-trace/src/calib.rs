@@ -1,12 +1,12 @@
 //! Cost-model calibration ledger: predicted vs. measured latency, reconciled.
 //!
-//! The serving engine routes and accounts by `ExecBackend::estimate_us` —
-//! the cost model's *predicted* latency — while the tile-VM's *measured*
-//! wall time goes unchecked. The [`CalibrationLedger`] closes that loop:
-//! every executed batch records the pair `(predicted µs, measured µs)` under
-//! `(workload class, arch, arch fingerprint, backend)`, and the snapshot
-//! surfaces MAPE plus p50/p95 relative error so estimate drift is auditable
-//! per class and architecture.
+//! The serving engine accounts each batch's *modelled* latency on the
+//! analytical GPU cost model while the tile VM's *measured* wall time goes
+//! unchecked. The [`CalibrationLedger`] closes that loop: every executed
+//! batch records the pair `(predicted µs, measured µs)` under
+//! `(workload class, arch, arch fingerprint)`, and the snapshot surfaces
+//! MAPE plus p50/p95 relative error so estimate drift is auditable per class
+//! and architecture.
 //!
 //! A **drift flag** raises when the measured/predicted ratio leaves a
 //! configurable band (default [`DEFAULT_DRIFT_BAND`]): the cost model is
@@ -30,7 +30,6 @@ const REL_ERR_WINDOW: usize = 2048;
 struct CalibKey {
     class: String,
     arch: String,
-    backend: String,
     fingerprint: u64,
 }
 
@@ -81,7 +80,7 @@ impl CalibTrack {
 }
 
 /// Concurrent predicted-vs-measured latency ledger, keyed by
-/// `(workload class, arch, arch fingerprint, backend)`.
+/// `(workload class, arch, arch fingerprint)`.
 #[derive(Debug)]
 pub struct CalibrationLedger {
     band: (f64, f64),
@@ -128,7 +127,6 @@ impl CalibrationLedger {
         class: &str,
         arch: &str,
         fingerprint: u64,
-        backend: &str,
         predicted_us: f64,
         measured_us: f64,
     ) {
@@ -141,7 +139,6 @@ impl CalibrationLedger {
         let key = CalibKey {
             class: class.to_string(),
             arch: arch.to_string(),
-            backend: backend.to_string(),
             fingerprint,
         };
         let mut entries = self.entries.lock().expect("calibration ledger poisoned");
@@ -160,22 +157,6 @@ impl CalibrationLedger {
         }
     }
 
-    /// The calibrated (measured) mean latency in µs for `class`, averaged
-    /// over every arch/backend entry weighted by sample count. `None` until
-    /// the class has at least one sample — callers fall back to an
-    /// uncalibrated policy.
-    pub fn calibrated_us(&self, class: &str) -> Option<f64> {
-        let entries = self.entries.lock().expect("calibration ledger poisoned");
-        let (mut measured, mut samples) = (0.0f64, 0u64);
-        for (key, track) in entries.iter() {
-            if key.class == class {
-                measured += track.measured_sum;
-                samples += track.samples;
-            }
-        }
-        (samples > 0).then(|| measured / samples as f64)
-    }
-
     /// A point-in-time summary of every entry, sorted by key.
     pub fn snapshot(&self) -> Vec<CalibrationSnapshot> {
         let entries = self.entries.lock().expect("calibration ledger poisoned");
@@ -189,7 +170,6 @@ impl CalibrationLedger {
                 CalibrationSnapshot {
                     class: key.class.clone(),
                     arch: key.arch.clone(),
-                    backend: key.backend.clone(),
                     fingerprint: key.fingerprint,
                     samples: track.samples,
                     predicted_mean_us: track.predicted_sum / n.max(1.0),
@@ -216,15 +196,13 @@ fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Calibration summary of one `(class, arch, backend)` entry.
+/// Calibration summary of one `(class, arch)` entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CalibrationSnapshot {
     /// Workload class (e.g. `softmax`, `mha`, `graph`).
     pub class: String,
     /// Architecture display name (e.g. `NVIDIA A10`).
     pub arch: String,
-    /// Backend name (`tile-vm` or `cost-model`).
-    pub backend: String,
     /// The architecture's latency-relevant fingerprint.
     pub fingerprint: u64,
     /// Recorded (predicted, measured) pairs.
@@ -259,9 +237,9 @@ mod tests {
         let ledger = CalibrationLedger::new();
         // 10% over-prediction on every sample: MAPE 10, all ratios 0.9.
         for _ in 0..8 {
-            ledger.record("softmax", "NVIDIA A10", 42, "tile-vm", 100.0, 90.0);
+            ledger.record("softmax", "NVIDIA A10", 42, 100.0, 90.0);
         }
-        ledger.record("mha", "NVIDIA A10", 42, "tile-vm", 50.0, 100.0);
+        ledger.record("mha", "NVIDIA A10", 42, 50.0, 100.0);
         let snapshot = ledger.snapshot();
         assert_eq!(snapshot.len(), 2);
         let mha = &snapshot[0];
@@ -279,8 +257,8 @@ mod tests {
     #[test]
     fn ratios_outside_the_band_raise_the_drift_flag() {
         let ledger = CalibrationLedger::with_band(0.5, 2.0);
-        ledger.record("softmax", "a", 1, "tile-vm", 100.0, 450.0);
-        ledger.record("softmax", "a", 1, "tile-vm", 100.0, 420.0);
+        ledger.record("softmax", "a", 1, 100.0, 450.0);
+        ledger.record("softmax", "a", 1, 100.0, 420.0);
         let entry = &ledger.snapshot()[0];
         assert_eq!(entry.drift_count, 2);
         assert!(entry.drifting);
@@ -290,24 +268,34 @@ mod tests {
     #[test]
     fn degenerate_pairs_are_discarded() {
         let ledger = CalibrationLedger::new();
-        ledger.record("softmax", "a", 1, "tile-vm", 0.0, 10.0);
-        ledger.record("softmax", "a", 1, "tile-vm", 10.0, f64::NAN);
-        ledger.record("softmax", "a", 1, "tile-vm", -5.0, 10.0);
+        ledger.record("softmax", "a", 1, 0.0, 10.0);
+        ledger.record("softmax", "a", 1, 10.0, f64::NAN);
+        ledger.record("softmax", "a", 1, -5.0, 10.0);
         assert!(ledger.snapshot().is_empty());
-        assert_eq!(ledger.calibrated_us("softmax"), None);
     }
 
     #[test]
     fn merge_and_calibrated_estimates_pool_across_arches() {
         let a = CalibrationLedger::new();
         let b = CalibrationLedger::new();
-        a.record("softmax", "a10", 1, "tile-vm", 100.0, 80.0);
-        b.record("softmax", "h800", 2, "tile-vm", 100.0, 120.0);
-        b.record("mha", "h800", 2, "tile-vm", 10.0, 10.0);
+        a.record("softmax", "a10", 1, 100.0, 80.0);
+        b.record("softmax", "h800", 2, 100.0, 120.0);
+        b.record("mha", "h800", 2, 10.0, 10.0);
         a.merge_from(&b);
-        assert_eq!(a.snapshot().len(), 3);
-        let softmax = a.calibrated_us("softmax").unwrap();
-        assert!((softmax - 100.0).abs() < 1e-9);
-        assert_eq!(a.calibrated_us("missing"), None);
+        let merged = a.snapshot();
+        assert_eq!(merged.len(), 3);
+        // Each arch keeps its own calibrated measured mean after the merge.
+        let measured: Vec<(&str, &str, f64)> = merged
+            .iter()
+            .map(|e| (e.class.as_str(), e.arch.as_str(), e.measured_mean_us))
+            .collect();
+        assert_eq!(
+            measured,
+            [
+                ("mha", "h800", 10.0),
+                ("softmax", "a10", 80.0),
+                ("softmax", "h800", 120.0)
+            ]
+        );
     }
 }

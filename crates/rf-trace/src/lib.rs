@@ -22,7 +22,7 @@
 //!   `inferno`-style flamegraph tools ([`validate_folded`] checks the
 //!   format).
 //! * [`CalibrationLedger`] — predicted-vs-measured latency reconciliation
-//!   per `(class, arch, backend)`: MAPE, relative-error percentiles and a
+//!   per `(class, arch)`: MAPE, relative-error percentiles and a
 //!   drift flag that fires when the measured/predicted ratio leaves a
 //!   configurable band.
 //! * [`RollingTelemetry`] — a ring of fixed-width time windows (default

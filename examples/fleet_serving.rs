@@ -1,22 +1,20 @@
 //! Multi-device fleet walkthrough: run one engine over a mixed-architecture
-//! fleet (a real tile-VM A10 plus a cost-model H800), drive the same request
-//! mix through all three routing policies, and read the per-device metrics
-//! the fleet keeps for each of them.
+//! fleet (an A10 and an H800, both executing on the tile VM), drive the same
+//! request mix through all three routing policies, check every output
+//! against the unfused oracle, and read the per-device metrics the fleet
+//! keeps for each of them.
 //!
 //! Run with `cargo run --example fleet_serving`.
 
 use redfuser::gpusim::GpuArch;
 use redfuser::runtime::{
-    DeviceSpec, Engine, FleetConfig, Request, RequestInput, RoutingPolicy, RuntimeConfig,
+    execute_reference, Engine, FleetConfig, Request, RequestInput, RoutingPolicy, RuntimeConfig,
 };
 use redfuser::workloads::{mha_tiny, random_matrix};
 
 fn fleet(routing: RoutingPolicy) -> FleetConfig {
     FleetConfig::heterogeneous(
-        vec![
-            DeviceSpec::tile_vm(GpuArch::a10()),
-            DeviceSpec::cost_model(GpuArch::h800()),
-        ],
+        vec![GpuArch::a10(), GpuArch::h800()],
         RuntimeConfig::builder()
             .workers(2)
             .max_batch(8)
@@ -72,29 +70,35 @@ pub fn main() {
             routing.name(),
             engine.devices()
         );
-        let tickets: Vec<_> = requests()
-            .into_iter()
-            .map(|r| engine.submit(r).expect("request admitted"))
+        let requests = requests();
+        let tickets: Vec<_> = requests
+            .iter()
+            .map(|r| engine.submit(r.clone()).expect("request admitted"))
             .collect();
         engine.run_until_drained();
         let mut per_device = vec![0usize; engine.devices()];
-        for ticket in tickets {
+        for (request, ticket) in requests.iter().zip(tickets) {
             let response = ticket.wait().expect("request served");
+            let oracle = execute_reference(&request.workload, &request.input);
+            assert!(
+                response.output.approx_eq(&oracle, 1e-9),
+                "{} diverged from the unfused oracle",
+                request.workload.name()
+            );
             per_device[response.device] += 1;
         }
         // `response.device` reports the lowest participating device for a
         // row-sharded merge, so the per-device ledgers below are the real
         // placement record; this is the caller-visible view.
-        println!("responses by serving device: {per_device:?}");
+        println!("responses by serving device (all match the oracle): {per_device:?}");
         for device in engine.device_snapshots() {
             let m = &device.metrics;
             println!(
-                "device {} [{} / {}, fingerprint {:016x}]: \
+                "device {} [{}, fingerprint {:016x}]: \
                  {} served, {} shed, p50 {:.1} us, p99 {:.1} us, \
                  mean batch {:.2}, cache hit rate {:.0}%",
                 device.device,
                 device.arch,
-                device.backend,
                 device.fingerprint,
                 m.completed,
                 m.shed,

@@ -10,7 +10,7 @@ use rf_codegen::Workload;
 use rf_gpusim::GpuArch;
 use rf_graph::builders;
 use rf_runtime::{
-    DeviceSpec, Engine, FleetConfig, Request, RequestInput, RequestOutput, RoutingPolicy,
+    execute_reference, Engine, FleetConfig, Request, RequestInput, RequestOutput, RoutingPolicy,
     RuntimeConfig, RuntimeError, Submission,
 };
 use rf_workloads::{
@@ -107,7 +107,7 @@ fn one_device_fleet_is_differentially_identical_to_the_plain_engine() {
     let requests = family_requests();
     let plain = Engine::with_config(GpuArch::a10(), runtime_config(2, 4, 1024));
     let fleet = Engine::with_fleet(FleetConfig {
-        devices: vec![DeviceSpec::tile_vm(GpuArch::a10())],
+        devices: vec![GpuArch::a10()],
         routing: RoutingPolicy::LeastLoaded,
         runtime: runtime_config(2, 4, 1024),
     });
@@ -410,51 +410,84 @@ fn per_device_ledgers_conserve_requests_under_concurrent_flood() {
     );
 }
 
-/// A heterogeneous fleet mixes real tile-VM execution with cost-model
-/// accounting: both devices serve, each under its own architecture identity.
+/// A heterogeneous fleet computes real outputs on every device: softmax,
+/// MHA and a plan-less graph served across an A10 and an H800 all match the
+/// unfused oracles at the differential suite's tight tolerance, both devices
+/// serve, and each keeps its own architecture identity.
 #[test]
-fn heterogeneous_fleets_mix_backends_and_architectures() {
+fn heterogeneous_fleet_serves_oracle_exact_outputs_on_every_device() {
+    /// The differential suite's damped-relative tolerance for the exactly
+    /// reassociative families (softmax, MHA, the MoE block's softmax region).
+    const TIGHT_TOL: f64 = 1e-9;
     let engine = Engine::with_fleet(FleetConfig::heterogeneous(
-        vec![
-            DeviceSpec::tile_vm(GpuArch::a10()),
-            DeviceSpec::cost_model(GpuArch::h800()),
-        ],
+        vec![GpuArch::a10(), GpuArch::h800()],
         runtime_config(1, 4, 1024),
     ));
-    let tickets: Vec<_> = (0..16)
-        .map(|seed| {
-            engine
-                .submit(Request::softmax(random_matrix(4, 64, seed, -1.0, 1.0)))
-                .unwrap()
-        })
-        .collect();
-    engine.run_until_drained();
-    for ticket in tickets {
-        let response = ticket.wait().unwrap();
-        assert!(response.simulated_us > 0.0);
-        // Cost-model devices synthesise zeros; tile-VM devices compute. A
-        // softmax row always sums to ~1.0, so the two are distinguishable.
-        let RequestOutput::Matrix(m) = &response.output else {
-            panic!("softmax produces a matrix");
-        };
-        let row_sum: f64 = m.as_slice()[..m.cols()].iter().sum();
-        if response.device == 0 {
-            assert!((row_sum - 1.0).abs() < 1e-9, "tile-VM serves real numbers");
-        } else {
-            assert_eq!(row_sum, 0.0, "cost-model serves shape-correct zeros");
-        }
+    let mha = mha_tiny();
+    let mut requests = Vec::new();
+    for seed in 0..8 {
+        requests.push(Request::softmax(random_matrix(4, 64, seed, -1.0, 1.0)));
+        requests.push(
+            Request::new(
+                Workload::Mha(mha.clone()),
+                RequestInput::Attention {
+                    q: random_matrix(mha.q, mha.hd, 100 + seed, -1.0, 1.0),
+                    k: random_matrix(mha.kv, mha.hd, 200 + seed, -1.0, 1.0),
+                    v: random_matrix(mha.kv, mha.hd, 300 + seed, -1.0, 1.0),
+                },
+            )
+            .unwrap(),
+        );
     }
+    let tickets: Vec<_> = requests
+        .iter()
+        .map(|r| engine.submit(r.clone()).unwrap())
+        .collect();
+    let graph = Arc::new(builders::moe_block(4, 8, 4));
+    let inputs = builders::moe_block_inputs(4, 8, 4, 3);
+    let bindings: Vec<(String, Matrix)> = inputs
+        .iter()
+        .map(|(n, m)| (n.to_string(), m.clone()))
+        .collect();
+    let graph_ticket = engine
+        .submit(Submission::graph(Arc::clone(&graph), bindings))
+        .unwrap();
+    engine.run_until_drained();
+
+    let mut served_by = [0usize; 2];
+    for (request, ticket) in requests.iter().zip(tickets) {
+        let response = ticket.wait().unwrap();
+        let oracle = execute_reference(&request.workload, &request.input);
+        assert!(
+            response.output.approx_eq(&oracle, TIGHT_TOL),
+            "{} on device {} diverged from the oracle",
+            request.workload.name(),
+            response.device
+        );
+        assert!(response.simulated_us > 0.0);
+        served_by[response.device] += 1;
+    }
+    let response = graph_ticket.wait().unwrap();
+    let oracle = RequestOutput::Tensors(graph.evaluate(&inputs).unwrap());
+    assert!(
+        response.output.approx_eq(&oracle, TIGHT_TOL),
+        "graph on device {} diverged from OpGraph::evaluate",
+        response.device
+    );
+    served_by[response.device] += 1;
+    assert!(
+        served_by.iter().all(|&n| n > 0),
+        "least-loaded routing must use both devices, served {served_by:?}"
+    );
+
     let snapshots = engine.device_snapshots();
-    assert_eq!(snapshots[0].backend, "tile-vm");
-    assert_eq!(snapshots[1].backend, "cost-model");
     assert_eq!(snapshots[0].arch, "NVIDIA A10");
     assert_eq!(snapshots[1].arch, "NVIDIA H800");
     assert_ne!(
         snapshots[0].fingerprint, snapshots[1].fingerprint,
         "different architectures report different capability fingerprints"
     );
-    assert_eq!(
-        snapshots.iter().map(|d| d.metrics.completed).sum::<u64>(),
-        16
-    );
+    for (snapshot, served) in snapshots.iter().zip(served_by) {
+        assert_eq!(snapshot.metrics.completed, served as u64);
+    }
 }
